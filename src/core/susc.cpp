@@ -1,28 +1,9 @@
 #include "core/susc.hpp"
 
-#include <optional>
-
 #include "core/channel_bound.hpp"
 #include "util/contracts.hpp"
 
 namespace tcsa {
-namespace {
-
-/// Algorithm 2 (GetAvailableSlot): first empty slot scanning channels in
-/// order, columns [0, t) within each channel. Returns nullopt when every
-/// candidate slot is taken — which Theorem 3.2 rules out under sufficient
-/// channels, so callers treat nullopt as an internal error.
-std::optional<std::pair<SlotCount, SlotCount>> get_available_slot(
-    const BroadcastProgram& program, SlotCount t) {
-  for (SlotCount channel = 0; channel < program.channels(); ++channel) {
-    for (SlotCount slot = 0; slot < t; ++slot) {
-      if (program.empty_at(channel, slot)) return {{channel, slot}};
-    }
-  }
-  return std::nullopt;
-}
-
-}  // namespace
 
 BroadcastProgram schedule_susc(const Workload& workload, SlotCount channels) {
   TCSA_REQUIRE(channels >= min_channels(workload),
@@ -36,13 +17,26 @@ BroadcastProgram schedule_susc(const Workload& workload, SlotCount channels) {
   for (GroupId g = 0; g < workload.group_count(); ++g) {
     const SlotCount t = workload.expected_time(g);
     const SlotCount replications = cycle / t;  // ceil(t_h / t_i) == exact
+    // Algorithm 2 (GetAvailableSlot) returns the first empty cell scanning
+    // channels in order, columns [0, t) within each. Inside one group that
+    // candidate region is fixed and its cells are only ever filled (the
+    // replicas below land at columns >= t), so the first empty cell never
+    // moves backwards in scan order. Resuming from the last cell found
+    // therefore picks exactly the cells a fresh scan from (0, 0) would, in
+    // O(channels * t) probes for the whole group.
+    SlotCount x = 0;
+    SlotCount y = 0;
     for (SlotCount j = 0; j < workload.pages_in_group(g); ++j) {
       const PageId page = workload.first_page(g) + static_cast<PageId>(j);
-      const auto found = get_available_slot(program, t);
-      TCSA_ASSERT(found.has_value(),
+      while (x < channels && !program.empty_at(x, y)) {
+        if (++y == t) {
+          y = 0;
+          ++x;
+        }
+      }
+      TCSA_ASSERT(x < channels,
                   "schedule_susc: no slot in the first t_i columns — "
                   "Theorem 3.2 violated (bug)");
-      const auto [x, y] = *found;
       // Theorem 3.3: the arithmetic progression (x, y + k*t) is free; place()
       // asserts emptiness, so a violation surfaces immediately.
       for (SlotCount k = 0; k < replications; ++k)

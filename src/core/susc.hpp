@@ -7,7 +7,9 @@
 //      scarce early columns first — Condition (1) of validity).
 //   2. For each page, GetAvailableSlot scans channel by channel for the first
 //      empty slot within the page's first t_i columns. Theorem 3.2 guarantees
-//      one exists whenever channels >= the minimum.
+//      one exists whenever channels >= the minimum. The scan resumes where
+//      the group's previous page landed rather than at (0, 0); it picks the
+//      same cells, so a whole program costs O(groups * channels * t_h).
 //   3. From that slot (x, y), replicate the page every t_i columns to the end
 //      of the cycle t_h (Condition (2)); Theorem 3.3 guarantees all those
 //      slots are still empty, which this implementation asserts.

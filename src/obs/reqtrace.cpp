@@ -237,6 +237,14 @@ namespace {
 /// Reservoir bound, matching loadgen's offset sampling: exact below this
 /// many samples, stride-decimated (still unbiased in rank) above it.
 constexpr std::size_t kReqSampleCap = std::size_t{1} << 17;
+
+/// Nearest-rank position of quantile q in a sorted sample of n > 0 values.
+std::size_t nearest_rank_index(double q, std::size_t n) {
+  const double rank = std::ceil(q * static_cast<double>(n));
+  const std::size_t index =
+      rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
+  return std::min(index, n - 1);
+}
 }  // namespace
 
 ReqPercentiles::ReqPercentiles(const std::string& base,
@@ -271,10 +279,32 @@ void ReqPercentiles::record(double value) noexcept {
 }
 
 void ReqPercentiles::publish() noexcept {
-  gauge_set(p50_, percentile(0.50));
-  gauge_set(p99_, percentile(0.99));
-  gauge_set(p999_, percentile(0.999));
-  gauge_set(p9999_, percentile(0.9999));
+  // One copy under the lock, then one selection pass: the ranks ascend, so
+  // each nth_element only partitions the tail the previous one left above
+  // its pivot. O(n) in all, against a full sort per rank. The copy is not
+  // kept between calls: a retained buffer raised the server's peak RSS.
+  std::vector<double> sample;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    sample = samples_;
+  }
+  const std::pair<double, MetricId> gauges[] = {
+      {0.50, p50_}, {0.99, p99_}, {0.999, p999_}, {0.9999, p9999_}};
+  auto from = sample.begin();
+  for (const auto& [q, gauge] : gauges) {
+    double value = 0.0;
+    if (!sample.empty()) {
+      const auto nth =
+          sample.begin() +
+          static_cast<std::ptrdiff_t>(nearest_rank_index(q, sample.size()));
+      if (nth >= from) {
+        std::nth_element(from, nth, sample.end());
+        from = nth + 1;
+      }
+      value = *nth;
+    }
+    gauge_set(gauge, value);
+  }
 }
 
 std::uint64_t ReqPercentiles::count() const noexcept {
@@ -287,10 +317,7 @@ double ReqPercentiles::percentile(double q) const {
   if (samples_.empty()) return 0.0;
   std::vector<double> sorted(samples_);
   std::sort(sorted.begin(), sorted.end());
-  const double rank = std::ceil(q * static_cast<double>(sorted.size()));
-  std::size_t index = rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
-  if (index >= sorted.size()) index = sorted.size() - 1;
-  return sorted[index];
+  return sorted[nearest_rank_index(q, sorted.size())];
 }
 
 }  // namespace tcsa::obs

@@ -260,14 +260,17 @@ inline void req_event(std::uint64_t, ReqStage, std::uint64_t,
 /// reservoir holds every sample up to 2^17, then decimates by doubling a
 /// keep-stride, the same bounded-memory scheme loadgen uses for offsets.
 /// record() is mutex-guarded — requests are orders of magnitude rarer than
-/// page sends, so contention is not a concern.
+/// page sends, so contention is not a concern. publish() holds that mutex
+/// only to copy the reservoir, then selects the four ranks in one O(n)
+/// pass over the copy.
 class ReqPercentiles {
  public:
   ReqPercentiles(const std::string& base, const std::string& unit,
                  const std::string& help, std::vector<double> upper_bounds);
 
   void record(double value) noexcept;
-  /// Recomputes the four percentile gauges from the reservoir.
+  /// Recomputes the four percentile gauges from the reservoir; each gauge
+  /// equals percentile(q) at the moment of the copy.
   void publish() noexcept;
 
   std::uint64_t count() const noexcept;

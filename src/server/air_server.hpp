@@ -416,7 +416,7 @@ class AirServer {
   /// whole batch inside the submitting enter, so this normally only drains
   /// the eventfd counter; any CQE it does find is counted and discarded.
   void harvest_uring(LoopShard& shard);
-  /// Enqueues the announce to sessions not yet greeted under `gen_id`.
+  /// Sends the announce to sessions not yet greeted under `gen_id`.
   void deliver_announce(LoopShard& shard, const net::SharedBuf& buf,
                         std::uint32_t gen_id);
   /// Registers the /metrics, /metrics.json, /healthz and /slots handlers.

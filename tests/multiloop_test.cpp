@@ -1,9 +1,11 @@
 // multiloop_test.cpp — invariants of the sharded (loops > 1) air server:
 // session conservation across loop shards under churn, per-loop slow-client
-// eviction, announce exactly-once per session regardless of owning loop,
-// broadcast validity at four loops, and an in-process loadgen smoke run.
+// eviction, announce exactly-once per session regardless of owning loop
+// (and reaching sessions no slot frame flushes), broadcast validity at four loops, and an in-process loadgen smoke run.
+#include <poll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <chrono>
 #include <numeric>
 #include <thread>
@@ -160,6 +162,99 @@ TEST(MultiLoop, EverySessionSeesOneAnnouncePerSwap) {
         << "announce must reach each session exactly once";
     EXPECT_EQ(summary.generation, 2u);
     EXPECT_EQ(summary.deadline_misses, 0u);
+  }
+}
+
+/// Reads a raw session until a frame of `type` arrives (true, left in
+/// `frame`) or `timeout` passes (false).
+bool await_frame(int fd, net::FrameDecoder& decoder, net::FrameType type,
+                 std::chrono::milliseconds timeout, net::Frame& frame) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  for (;;) {
+    while (decoder.next(frame))
+      if (frame.type == type) return true;
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return false;
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) return false;
+    char buffer[4096];
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (n <= 0) return false;
+    decoder.feed(std::string_view(buffer, static_cast<std::size_t>(n)));
+  }
+}
+
+// A session whose mask misses every aired channel gets no slot frames, so
+// nothing but the announce's own flush can reach it. Its kAnnounce must
+// already be there when a full-mask peer sees the slot after activation —
+// at one loop and at four, wherever the kernel placed the session.
+TEST(MultiLoop, AnnounceReachesSessionsOutsideTheSlotFanOut) {
+  for (const std::size_t loops : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("loops=" + std::to_string(loops));
+    AirServerConfig config;
+    config.slot_us = 1000;
+    config.max_slots = 0;
+    config.loops = loops;
+    ServerHarness harness(paper_workload(), config);
+
+    // An empty mask, and a mask naming only a channel the 4-channel program
+    // never airs.
+    struct RawSession {
+      net::Fd fd;
+      net::FrameDecoder decoder;
+    };
+    std::vector<RawSession> quiet(2);
+    const std::uint64_t masks[] = {0, 1ull << 40};
+    for (std::size_t i = 0; i < quiet.size(); ++i) {
+      quiet[i].fd = net::connect_tcp("127.0.0.1", harness.server().port());
+      net::Frame hello;
+      ASSERT_TRUE(await_frame(quiet[i].fd.get(), quiet[i].decoder,
+                              net::FrameType::kHello,
+                              std::chrono::seconds(5), hello));
+      std::string payload;
+      wire_put_u64(payload, masks[i]);
+      std::string tune;
+      net::append_frame(tune, net::FrameType::kTune, payload);
+      ASSERT_EQ(::send(quiet[i].fd.get(), tune.data(), tune.size(),
+                       MSG_NOSIGNAL),
+                static_cast<ssize_t>(tune.size()));
+    }
+
+    TuneClient::Options options = harness.client_options(net::kAllChannels);
+    options.record_pages = true;
+    TuneClient watcher(options);
+    watcher.run(4);
+    TuneClient swapper(harness.client_options(0));
+    const SwapReply reply = swapper.request_swap(grown_workload());
+    ASSERT_TRUE(reply.accepted) << reply.error;
+
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    auto latest = [&watcher] {
+      std::uint64_t slot = 0;
+      for (const ReceivedPage& page : watcher.pages())
+        slot = std::max(slot, page.slot);
+      return slot;
+    };
+    while (latest() <= reply.activation_slot &&
+           std::chrono::steady_clock::now() < deadline)
+      watcher.run(2);
+    ASSERT_GT(latest(), reply.activation_slot);
+
+    for (RawSession& session : quiet) {
+      net::Frame announce;
+      ASSERT_TRUE(await_frame(session.fd.get(), session.decoder,
+                              net::FrameType::kAnnounce,
+                              std::chrono::seconds(2), announce))
+          << "no kAnnounce for a session outside the slot fan-out";
+      WireReader reader(announce.payload);
+      EXPECT_EQ(reader.read_u32(), reply.generation);
+      reader.read_u32();  // slot_us
+      reader.read_u32();  // channels
+      reader.read_u32();  // cycle
+      EXPECT_EQ(reader.read_u64(), reply.activation_slot);
+    }
   }
 }
 

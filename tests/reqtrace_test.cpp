@@ -383,5 +383,56 @@ TEST(ReqPercentiles, DecimationKeepsPercentilesStable) {
               static_cast<double>(total) * 0.01);
 }
 
+/// publish() selects its four ranks with nth_element over one copy; each
+/// gauge must equal what the sort-based percentile(q) reads off the same
+/// reservoir.
+void expect_publish_matches_percentile(ReqPercentiles& pct,
+                                       const std::string& base) {
+  pct.publish();
+  const MetricsSnapshot snap = snapshot();
+  const std::pair<const char*, double> gauges[] = {
+      {"_p50_us", 0.50}, {"_p99_us", 0.99}, {"_p999_us", 0.999},
+      {"_p9999_us", 0.9999}};
+  for (const auto& [suffix, q] : gauges)
+    EXPECT_EQ(snap.gauge_value(base + suffix), pct.percentile(q))
+        << base << suffix;
+}
+
+TEST(ReqPercentiles, PublishEqualsPercentileOnEdgeReservoirs) {
+  MetricsEnabledScope metrics_on;
+
+  ReqPercentiles single("test_reqtrace_single", "us", "one sample", {1.0});
+  single.record(42.0);
+  expect_publish_matches_percentile(single, "test_reqtrace_single");
+  EXPECT_EQ(single.percentile(0.9999), 42.0);
+
+  ReqPercentiles flat("test_reqtrace_flat", "us", "all equal", {1.0});
+  for (int i = 0; i < 5000; ++i) flat.record(7.0);
+  expect_publish_matches_percentile(flat, "test_reqtrace_flat");
+  EXPECT_EQ(flat.percentile(0.5), 7.0);
+
+  // Heavy duplicates in shuffled order: a handful of values, the ranks
+  // landing inside and on the edges of the runs.
+  ReqPercentiles dup("test_reqtrace_dup", "us", "duplicates", {1.0});
+  std::vector<double> fed;
+  for (int i = 0; i < 20011; ++i) {
+    fed.push_back(static_cast<double>((i * 7919) % 5 == 0 ? 1000 : (i % 3)));
+    dup.record(fed.back());
+  }
+  expect_publish_matches_percentile(dup, "test_reqtrace_dup");
+  std::sort(fed.begin(), fed.end());
+  EXPECT_EQ(dup.percentile(0.50), fed[10005]);  // ceil(0.5 * 20011) - 1
+  EXPECT_EQ(dup.percentile(0.9999), fed[20008]);  // ceil(20008.9989) - 1
+
+  // Past the 2^17 cap: the decimated reservoir, fed a descending ramp with
+  // repeats so selection has real work on both sides of each rank.
+  ReqPercentiles big("test_reqtrace_capped", "us", "decimated", {1.0});
+  const std::uint64_t total = (std::uint64_t{1} << 17) * 3 + 12345;
+  for (std::uint64_t i = 0; i < total; ++i)
+    big.record(static_cast<double>((total - i) / 3));
+  EXPECT_EQ(big.count(), total);
+  expect_publish_matches_percentile(big, "test_reqtrace_capped");
+}
+
 }  // namespace
 }  // namespace tcsa::obs

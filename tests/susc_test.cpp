@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/channel_bound.hpp"
 #include "core/susc.hpp"
 #include "model/appearance_index.hpp"
 #include "model/validate.hpp"
 #include "sim/broadcast_sim.hpp"
+#include "util/rng.hpp"
 #include "workload/distributions.hpp"
 
 namespace tcsa {
@@ -155,6 +158,94 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(tc.n) + "_t" + std::to_string(tc.t1) + "_c" +
              std::to_string(tc.c);
     });
+
+// ------------------------------------------------------------ exactness
+//
+// schedule_susc resumes each group's scan where the previous page landed.
+// The oracle below is Algorithm 2 as the paper writes it — a fresh scan
+// from (0, 0) for every page, O(pages x cells) — and the resumed scan must
+// reproduce its grid cell for cell.
+
+BroadcastProgram schedule_susc_by_rescan(const Workload& workload,
+                                         SlotCount channels) {
+  const SlotCount cycle = workload.max_expected_time();
+  BroadcastProgram program(channels, cycle);
+  for (GroupId g = 0; g < workload.group_count(); ++g) {
+    const SlotCount t = workload.expected_time(g);
+    for (SlotCount j = 0; j < workload.pages_in_group(g); ++j) {
+      const PageId page = workload.first_page(g) + static_cast<PageId>(j);
+      bool placed = false;
+      for (SlotCount x = 0; x < channels && !placed; ++x) {
+        for (SlotCount y = 0; y < t && !placed; ++y) {
+          if (!program.empty_at(x, y)) continue;
+          for (SlotCount k = 0; k < cycle / t; ++k)
+            program.place(x, y + k * t, page);
+          placed = true;
+        }
+      }
+      if (!placed) throw std::logic_error("oracle: no slot in [0, t_i)");
+    }
+  }
+  return program;
+}
+
+void expect_matches_rescan(const Workload& w, SlotCount channels) {
+  const BroadcastProgram fast = schedule_susc(w, channels);
+  const BroadcastProgram oracle = schedule_susc_by_rescan(w, channels);
+  ASSERT_EQ(fast, oracle) << w.describe() << " on " << channels
+                          << " channels";
+}
+
+TEST(SuscExactness, RandomDivisibleLaddersMatchTheRescan) {
+  Rng rng(0x5e5c);
+  for (int trial = 0; trial < 600; ++trial) {
+    const auto groups = static_cast<std::size_t>(rng.uniform_int(1, 5));
+    std::vector<SlotCount> times;
+    std::vector<SlotCount> pages;
+    SlotCount t = rng.uniform_int(1, 6);
+    for (std::size_t g = 0; g < groups; ++g) {
+      times.push_back(t);
+      pages.push_back(rng.uniform_int(1, 3 * t));
+      t *= rng.uniform_int(2, 3);  // mixed ratios: only t_i | t_{i+1}
+    }
+    const Workload w = make_workload(times, pages);
+    const SlotCount bound = min_channels(w);
+    expect_matches_rescan(w, bound);
+    expect_matches_rescan(w, bound + rng.uniform_int(1, 4));
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(SuscExactness, BenchmarkCatalogsMatchTheRescan) {
+  // The serving benchmark's catalogs on the channels they air on:
+  // push-fanout, pull-hotspot, swap-churn, and the swap target swap-churn
+  // alternates with (64 more pages on 19 channels).
+  expect_matches_rescan(make_workload({4, 8, 16, 32}, {16, 32, 64, 128}), 16);
+  expect_matches_rescan(make_workload({4, 64, 512}, {4, 128, 1024}), 5);
+  expect_matches_rescan(
+      make_workload({64, 128, 256, 512}, {384, 768, 1024, 1024}), 18);
+  expect_matches_rescan(
+      make_workload({64, 128, 256, 512}, {384, 768, 1024, 1088}), 19);
+}
+
+// Scale guard: an at-bound catalog of over a million pages. Every page of
+// the last group sits behind 36 full channels of 65 536 cells, so a per-page
+// rescan from (0, 0) would probe ~3e12 cells (an hour or more); the resumed
+// scan probes each cell about once (milliseconds). The ctest TIMEOUT on this
+// suite turns a return to per-page rescans into a failure.
+TEST(SuscScale, MillionPageCatalogSchedulesInLinearTime) {
+  const Workload w = make_workload({16, 256, 4096, 65536},
+                                   {64, 4096, 65536, 1048576});
+  ASSERT_EQ(min_channels(w), 52);
+  const BroadcastProgram p = schedule_susc(w);
+  EXPECT_EQ(p.channels(), 52);
+  EXPECT_EQ(p.occupied(), p.capacity()) << "integral demand packs the grid";
+  const GroupId last = w.group_count() - 1;
+  EXPECT_EQ(p.at(36, 0), w.first_page(last));
+  EXPECT_EQ(p.at(51, 65535),
+            w.first_page(last) +
+                static_cast<PageId>(w.pages_in_group(last) - 1));
+}
 
 // Mixed-ratio ladders (the divisibility generalisation) also work.
 TEST(Susc, MixedRatioLadder) {
